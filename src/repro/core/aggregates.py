@@ -231,6 +231,35 @@ class WindowEngine:
         """
         raise NotImplementedError
 
+    def dsr_values(
+        self,
+        node_ends: np.ndarray,
+        span: int,
+        top: int,
+        step: int,
+        count: int,
+    ) -> np.ndarray:
+        """Window aggregates over the detailed search regions of nodes.
+
+        Returns an ``(len(node_ends), span, count)`` array: entry
+        ``[a, j, h]`` is the window of size ``top - step * h`` ending at
+        ``node_ends[a] - span + 1 + j``, so the size axis runs largest
+        first.  A window that would start before index 0 reads NaN,
+        which meets no threshold.  Raises ``IndexError`` when a window
+        of the region reaches behind the retained history.
+
+        This default evaluates the region through :meth:`values_grid`;
+        engines with a cheaper layout override it.
+        """
+        cell_ends = (
+            node_ends[:, None] + np.arange(1 - span, 1, dtype=np.int64)
+        ).ravel()
+        sizes = top - step * np.arange(count, dtype=np.int64)
+        grid = self.values_grid(cell_ends, sizes)
+        if cell_ends.min() < top - 1:
+            grid = np.where(cell_ends >= sizes[:, None] - 1, grid, np.nan)
+        return grid.T.reshape(node_ends.size, span, count)
+
     def snapshot(self) -> tuple[int, np.ndarray]:
         """Byte-exact trailing state at a chunk boundary.
 
@@ -420,6 +449,51 @@ class SumWindowEngine(WindowEngine):
         if starts.min() < self._offset:
             raise IndexError("window reaches behind retained history")
         return self._p(ends + 1)[None, :] - self._p(starts)
+
+    def dsr_values(
+        self,
+        node_ends: np.ndarray,
+        span: int,
+        top: int,
+        step: int,
+        count: int,
+    ) -> np.ndarray:
+        # Every window of one node's region lies in one contiguous slice
+        # of prefix sums: copy that slice out as a row per node, then read
+        # window ends and starts through strided views of the rows, so the
+        # whole region is one broadcast subtraction with no index arrays.
+        if node_ends.max() >= self._length:
+            raise IndexError("window end beyond stream length")
+        width = span + top
+        # Global prefix index of each row's first entry: the start of the
+        # largest window ending at the node's first cell.
+        base = node_ends - (width - 2)
+        lowest = int(base.min())
+        if max(0, lowest) < self._offset:
+            raise IndexError("window reaches behind retained history")
+        buf = self._prefix
+        local = base - self._offset
+        if lowest < 0:
+            # Stream start (offset is 0 here): windows that would start
+            # before index 0 read a NaN prefix.
+            buf = np.concatenate(
+                (np.full(-lowest, np.nan, dtype=np.float64), buf)
+            )
+            local = local - lowest
+        item = buf.itemsize
+        rows = np.ndarray(
+            (buf.size - width + 1, width),
+            np.float64,
+            buffer=buf,
+            strides=(item, item),
+        )[local]
+        starts = np.ndarray(
+            (local.size, span, count),
+            np.float64,
+            buffer=rows,
+            strides=(width * item, item, step * item),
+        )
+        return rows[:, top:, None] - starts
 
 
 class MaxWindowEngine(WindowEngine):

@@ -16,6 +16,9 @@ This module holds the geometry shared by both detectors:
 * :func:`search_dsr` — the detailed search itself: examine every candidate
   cell ``(t', w)`` in the node's detailed search region, i.e. window end
   times in ``(t - shift, t]`` and triggered sizes, reporting real bursts.
+  It and the chunked detector's batched search both evaluate regions
+  through :func:`search_region`, over the plan's size *hull* with
+  ``+inf`` thresholds at sizes not searched.
 
 Filter-comparison accounting follows the paper's cost model (§4.2): one
 comparison per node against the trigger threshold, plus ``log2(range) + 1``
@@ -25,7 +28,7 @@ the refinement binary search runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +38,14 @@ from .opcount import OpCounters
 from .structure import SATStructure
 from .thresholds import ThresholdModel
 
-__all__ = ["LevelPlan", "build_plans", "find_triggered", "search_dsr"]
+__all__ = [
+    "LevelPlan",
+    "build_plans",
+    "clipped_cells",
+    "find_triggered",
+    "search_dsr",
+    "search_region",
+]
 
 
 @dataclass(frozen=True)
@@ -51,6 +61,25 @@ class LevelPlan:
     thresholds: np.ndarray  # f(w) aligned with `sizes`
     min_threshold: float  # trigger threshold (inf if `sizes` empty)
     monotone: bool  # thresholds nondecreasing within this level
+    # The DSR *hull*: sizes from sizes[-1] down to sizes[0] in steps of
+    # gcd(diff(sizes)), so every size of interest is a hull size.
+    # Derived once from `sizes`/`thresholds` in __post_init__.
+    hull_step: int = field(init=False, compare=False)
+    # f(w) over the hull, largest size first; +inf at hull sizes that
+    # are not sizes of interest, so they meet no threshold.
+    hull_thresholds: np.ndarray = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        sizes = self.sizes
+        step = int(np.gcd.reduce(np.diff(sizes))) if sizes.size > 1 else 1
+        pos = (sizes - sizes[0]) // step if sizes.size else sizes
+        hull = int(pos[-1]) + 1 if sizes.size else 0
+        thresholds = np.full(hull, np.inf, dtype=np.float64)
+        thresholds[hull - 1 - pos] = self.thresholds
+        object.__setattr__(self, "hull_step", step)
+        object.__setattr__(self, "hull_thresholds", thresholds)
 
     @property
     def active(self) -> bool:
@@ -120,6 +149,54 @@ def find_triggered(
     return plan.sizes[mask], plan.thresholds[mask]
 
 
+def clipped_cells(first_end: int, sizes: np.ndarray, span: int) -> int:
+    """DSR cells whose window would start before stream index 0.
+
+    Counts, over window ``sizes``, the ends in ``[first_end, first_end +
+    span)`` lower than ``size - 1``: cells that are not searched (and
+    not charged) because the window is not yet full.
+    """
+    return int(np.clip(sizes - 1 - first_end, 0, span).sum())
+
+
+def search_region(
+    engine: WindowEngine,
+    plan: LevelPlan,
+    node_ends: np.ndarray,
+    span: int,
+    skip: int,
+    thresholds: np.ndarray,
+    counters: OpCounters,
+    out: list[Burst],
+) -> None:
+    """Report the bursts in the detailed search regions of ``node_ends``.
+
+    Evaluates the windows of hull sizes ``plan.hull_thresholds[skip:]``
+    ending in ``(t - span, t]`` for every node end ``t`` in one
+    :meth:`~repro.core.aggregates.WindowEngine.dsr_values` call.
+    ``thresholds`` is aligned with that hull slice and ``+inf`` at every
+    size not searched.  Bursts are appended by size, then node, then
+    end; charging search cells is the caller's job.
+    """
+    count = thresholds.size
+    step = plan.hull_step
+    top = int(plan.sizes[-1]) - step * skip
+    values = engine.dsr_values(node_ends, span, top, step, count)
+    hits = values >= thresholds
+    if not hits.any():
+        return
+    # The hull axis runs largest size first; walk it smallest first.
+    rev, ks, js = np.nonzero(hits.transpose(2, 0, 1)[::-1])
+    hs = count - 1 - rev
+    sizes = top - step * hs
+    ends = node_ends[ks] - (span - 1) + js
+    for end, size, value in zip(
+        ends.tolist(), sizes.tolist(), values[ks, js, hs].tolist()
+    ):
+        out.append(Burst(end, size, value))
+    counters.bursts += int(rev.size)
+
+
 def search_dsr(
     engine: WindowEngine,
     plan: LevelPlan,
@@ -136,19 +213,27 @@ def search_dsr(
     ``(node_end - span, node_end]`` (restricted to full windows inside the
     stream) and appends real bursts to ``out``.  ``span`` is the level
     shift for regular nodes, or the shorter tail span for the flush node at
-    end of stream.  The whole (size x end) region is evaluated as one
-    engine grid query.
+    end of stream.  ``sizes`` must be a subset of ``plan.sizes`` (what
+    :func:`find_triggered` returns); the others get an infinite threshold
+    row, and :func:`search_region` evaluates the region.
     """
     if sizes.size == 0:
         return
-    ends = np.arange(node_end - span + 1, node_end + 1, dtype=np.int64)
-    grid = engine.values_grid(ends, sizes)
-    # Full windows only: a window of size w must end at w - 1 or later.
-    valid = ends[None, :] >= (sizes[:, None] - 1)
-    counters.search_cells[plan.level] += int(np.count_nonzero(valid))
-    hits = valid & (grid >= size_thresholds[:, None])
-    if not hits.any():
-        return
-    for i, j in zip(*np.nonzero(hits)):
-        out.append(Burst(int(ends[j]), int(sizes[i]), float(grid[i, j])))
-        counters.bursts += 1
+    step = plan.hull_step
+    largest = int(sizes[-1])
+    count = (largest - int(sizes[0])) // step + 1
+    row = np.full(count, np.inf, dtype=np.float64)
+    row[(largest - sizes) // step] = size_thresholds
+    first = node_end - span + 1
+    cells = span * int(sizes.size) - clipped_cells(first, sizes, span)
+    counters.search_cells[plan.level] += cells
+    search_region(
+        engine,
+        plan,
+        np.array([node_end], dtype=np.int64),
+        span,
+        (int(plan.sizes[-1]) - largest) // step,
+        row,
+        counters,
+        out,
+    )

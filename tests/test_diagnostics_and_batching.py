@@ -60,15 +60,15 @@ class TestDiagnose:
 
 class TestAlarmBatching:
     def test_batch_boundary_parity(self, rng):
-        # Force tiny alarm batches so a single chunk spans many batches;
-        # results must not depend on the batch size.
+        # Force a tiny cell budget (one alarm per batch) so a single
+        # chunk spans many batches; results must not depend on it.
         data = rng.poisson(10.0, 4000).astype(float)
         th = NormalThresholds.from_data(data[:1000], 1e-2, all_sizes(24))
         structure = shifted_binary_tree(24)
         normal = ChunkedDetector(structure, th)
         want = normal.detect(data)
         tiny = ChunkedDetector(structure, th)
-        tiny._ALARM_BATCH = 3
+        tiny._CELL_BUDGET = 3
         got = tiny.detect(data)
         assert got == want
         assert tiny.counters.as_dict() == normal.counters.as_dict()
